@@ -14,6 +14,7 @@ from repro.simulation.engine import (
     AllOf,
     AnyOf,
     Event,
+    FirstOf,
     Interrupt,
     Process,
     SimulationError,
@@ -26,6 +27,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
+    "FirstOf",
     "Gate",
     "Interrupt",
     "Process",

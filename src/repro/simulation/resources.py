@@ -23,7 +23,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.simulation.engine import PROCESSED, Event, SimulationError, Simulator
+from repro.simulation.engine import (
+    PENDING,
+    PROCESSED,
+    Event,
+    SimulationError,
+    Simulator,
+)
 
 
 class Request(Event):
@@ -32,7 +38,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, sim: Simulator, resource: "Resource"):
-        super().__init__(sim)
+        # one per worker-thread claim: Event.__init__ inlined
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = PENDING
+        self._defused = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -87,7 +99,8 @@ class Resource:
         if self._users <= 0:
             raise SimulationError("release() without matching request()")
         self._users -= 1
-        self._grant_waiters()
+        if self._queue:
+            self._grant_waiters()
 
     def resize(self, capacity: int) -> None:
         """Change capacity in place.

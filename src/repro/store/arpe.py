@@ -28,6 +28,9 @@ from repro.simulation import Event, Resource, Simulator
 from repro.store.result import ErrorCode, OpResult
 
 
+_NAN = float("nan")
+
+
 class OpMetrics:
     """Per-operation phase breakdown (drives Figure 9).
 
@@ -49,8 +52,8 @@ class OpMetrics:
 
     def __init__(self, now: float):
         self.enqueued_at = now
-        self.started_at = float("nan")
-        self.completed_at = float("nan")
+        self.started_at = _NAN
+        self.completed_at = _NAN
         self.encode_time = 0.0
         self.decode_time = 0.0
         self.request_time = 0.0

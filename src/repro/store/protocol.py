@@ -160,24 +160,13 @@ def issue_request(
     send_event = fabric.send(
         request.reply_to,  # the requester replies-to itself: that is the src
         dst,
-        size=request.wire_size(),
-        payload=request,
-        tag=TAG_REQUEST,
-        parent=span,
+        request.wire_size(),
+        request,
+        TAG_REQUEST,
+        False,
+        span,
     )
-
-    def _on_send(event: Event) -> None:
-        if not event.ok:
-            pending.complete(
-                Response(
-                    req_id=request.req_id,
-                    ok=False,
-                    server=dst,
-                    error=ERR_UNREACHABLE,
-                )
-            )
-
-    send_event.callbacks.append(_on_send)
+    send_event.callbacks.append(pending.on_send)
     send_event.defuse()
 
     if timeout is not None:
@@ -215,6 +204,22 @@ class PendingTable:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._pending: Dict[int, Event] = {}
+        #: send-completion callback for :func:`issue_request`, bound once
+        self.on_send = self._on_send
+
+    def _on_send(self, event: Event) -> None:
+        # An undeliverable request fails its waiter as an UNREACHABLE
+        # response; the fabric's error carries the request and its dst.
+        if not event._ok:
+            error = event._value
+            self.complete(
+                Response(
+                    req_id=error.payload.req_id,
+                    ok=False,
+                    server=error.dst,
+                    error=ERR_UNREACHABLE,
+                )
+            )
 
     def __len__(self) -> int:
         return len(self._pending)
