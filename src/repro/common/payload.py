@@ -21,7 +21,15 @@ class Payload:
 
     __slots__ = ("size", "data", "_checksum")
 
-    def __init__(self, size: int, data: Optional[bytes] = None):
+    def __init__(
+        self,
+        size: int,
+        data: Optional[bytes] = None,
+        checksum: Optional[int] = None,
+    ):
+        """``checksum`` memoizes a CRC32 the caller has just computed
+        over exactly ``data`` (never a stored or expected value), so
+        :meth:`checksum` need not compute it again."""
         if size < 0:
             raise ValueError("payload size must be >= 0")
         if data is not None and len(data) != size:
@@ -31,7 +39,7 @@ class Payload:
             )
         self.size = size
         self.data = data
-        self._checksum: Optional[int] = None
+        self._checksum: Optional[int] = checksum if data is not None else None
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Payload":

@@ -106,6 +106,77 @@ class TestCorruptionDetection:
         assert server.verify_on_read is False
 
 
+class _FlipGetResponses:
+    """Interceptor flipping one bit of every Get response carrying bytes."""
+
+    def __init__(self):
+        from repro.faults.engine import ChaosEngine
+
+        self.mutate = ChaosEngine._corrupter(pos=7, bit=2)
+        self.flipped = 0
+
+    def on_message(self, src, dst, size, payload, tag, one_sided):
+        from repro.network.fabric import FaultAction
+
+        value = getattr(payload, "value", None)
+        if tag == protocol.TAG_RESPONSE and value is not None and value.has_data:
+            self.flipped += 1
+            return FaultAction(mutate=self.mutate)
+        return None
+
+
+class TestVerifiedChecksumMemo:
+    """A Get response carries the CRC its server just verified, so the
+    client's end-to-end check reuses it instead of hashing again."""
+
+    def _stored(self, data):
+        cluster = fresh("no-rep")
+        client = cluster.add_client()
+        drive(cluster, client.set("k", Payload.from_bytes(data)))
+        return cluster, client
+
+    def test_clean_get_hashes_the_value_once(self, monkeypatch):
+        import zlib
+
+        data = patterned(4_000)
+        cluster, client = self._stored(data)
+        hashed = []
+        real_crc32 = zlib.crc32
+
+        def counting_crc32(buf, *start):
+            hashed.append(len(buf))
+            return real_crc32(buf, *start)
+
+        monkeypatch.setattr(zlib, "crc32", counting_crc32)
+        value = drive(cluster, client.get("k"))
+        assert value.data == data
+        # the server's verify-on-read; the client reuses its result
+        assert hashed == [len(data)]
+        assert value.checksum() == real_crc32(data)
+
+    def test_bit_flipped_in_flight_is_still_caught(self):
+        data = patterned(4_000)
+        cluster, client = self._stored(data)
+        flipper = _FlipGetResponses()
+        cluster.fabric.add_interceptor(flipper)
+        primary = cluster.ring.primary("k")
+
+        def read():
+            return (yield client.request(primary, "get", "k"))
+
+        response = drive(cluster, read())
+        assert flipper.flipped == 1
+        assert not response.ok
+        assert response.error == protocol.ERR_CORRUPT
+        assert cluster.metrics.counter("client.corrupt_responses").value == 1
+
+    def test_memo_only_covers_the_verified_bytes(self):
+        payload = Payload(3, b"abc", checksum=123)
+        assert payload.checksum() == 123
+        # size-only payloads have no bytes to memoize a checksum of
+        assert Payload(3, None, checksum=123).checksum() is None
+
+
 class TestCorruptionRecovery:
     def test_replication_fails_over_on_corruption(self):
         cluster = fresh("async-rep")
