@@ -125,12 +125,13 @@ class ResilienceScheme(ABC):
         Unreachable destinations arrive as ``ok=False`` responses (see
         :func:`repro.store.protocol.issue_request`), so this never raises.
         """
-        start = client.sim.now
+        sim = client.sim
+        start = sim._now
         results: List[Response] = []
         for event in events:
             response = yield event
             results.append(response)
-        elapsed = client.sim.now - start
+        elapsed = sim._now - start
         metrics.wait_time += elapsed
         if client.tracer.enabled:
             client.tracer.record(
