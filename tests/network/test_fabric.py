@@ -30,6 +30,18 @@ def run_send(sim, fabric, src, dst, size, **kwargs):
     return sim.run(event)
 
 
+def software_overhead(profile, size):
+    """A lone send's delivery time less its wire time and latency."""
+    from repro.simulation import Simulator
+
+    sim = Simulator()
+    fabric = Fabric(sim, profile)
+    fabric.add_node("a")
+    fabric.add_node("b")
+    run_send(sim, fabric, "a", "b", size)
+    return sim.now - size / profile.bandwidth - profile.link_latency
+
+
 class TestEagerPath:
     def test_small_message_timing(self, sim, fabric):
         """eager: overhead + wire + one latency."""
@@ -71,23 +83,18 @@ class TestRendezvousPath:
         )
         assert sim.now == pytest.approx(expected)
 
-    def test_protocol_switch_exactly_at_threshold(self, sim):
+    def test_protocol_switch_exactly_at_threshold(self):
         profile = RI_QDR
-        fabric = Fabric(sim, profile)
-        fabric.add_node("a")
-        fabric.add_node("b")
-        at = fabric._software_overhead(profile.eager_threshold)
-        above = fabric._software_overhead(profile.eager_threshold + 1)
-        assert at == profile.eager_overhead
+        at = software_overhead(profile, profile.eager_threshold)
+        above = software_overhead(profile, profile.eager_threshold + 1)
+        assert at == pytest.approx(profile.eager_overhead)
         assert above > profile.eager_overhead
 
-    def test_ipoib_never_uses_eager_rendezvous_split(self, sim):
-        fabric = Fabric(sim, profile_by_name("ri-qdr-ipoib"))
-        fabric.add_node("a")
-        fabric.add_node("b")
-        small = fabric._software_overhead(100)
-        large = fabric._software_overhead(10**6)
-        assert small == large  # single software path over TCP
+    def test_ipoib_never_uses_eager_rendezvous_split(self):
+        profile = profile_by_name("ri-qdr-ipoib")
+        small = software_overhead(profile, 100)
+        large = software_overhead(profile, 10**6)
+        assert small == pytest.approx(large)  # single software path over TCP
 
 
 class TestBandwidthContention:
