@@ -178,7 +178,8 @@ class Scrubber:
 
         ``"ok"`` (CRC verified), ``"corrupt"`` (rot found — repair was
         triggered), ``"missing"`` (hole — reconstruction attempted),
-        ``"skipped"`` (holder dead or retired), or ``"error"`` (busy /
+        ``"skipped"`` (holder dead or retired, or the target itself went
+        away since the walk was planned), or ``"error"`` (busy /
         unreachable / timed out; the next pass retries).
         """
         kind, holder, skey, lkey, index = target
@@ -199,11 +200,36 @@ class Scrubber:
             yield from self._repair(target)
             return "corrupt"
         if response.error == protocol.ERR_NOT_FOUND:
+            if not self._still_live(target):
+                # not a hole: the target vanished since the walk was
+                # planned (its stripe sealed and dropped the journal, or
+                # compaction dropped the carrier) — nothing to repair
+                self._skipped.inc()
+                return "skipped"
             # a hole: rot already evicted by an earlier read, or a lost
             # write-back — reconstruct it the same way
             yield from self._repair(target)
             return "missing"
         return "error"
+
+    def _still_live(self, target: Target) -> bool:
+        """Whether a target from this pass's walk still has to exist.
+
+        A journal copy lives while its stripe is open and holds the
+        object; a chunk lives while the scheme still knows its key.
+        """
+        kind, _holder, _skey, lkey, index = target
+        scheme = self.cluster.scheme
+        if kind == "journal":
+            record = scheme.stripe_record(index)
+            return (
+                record is not None
+                and not record.sealed
+                and not record.sealing
+                and lkey in record.values
+            )
+        knows_key = getattr(scheme, "knows_key", None)
+        return knows_key is None or knows_key(lkey)
 
     def _record_detection(self, holder: str, skey: str) -> None:
         self.detections.append((self.sim.now, holder, skey))
@@ -280,11 +306,7 @@ class Scrubber:
         _kind, holder, skey, _lkey, stripe_id = target
         client = self.client
         scheme = self.cluster.scheme
-        record = None
-        for candidate in scheme.stripe_records():
-            if candidate.stripe_id == stripe_id:
-                record = candidate
-                break
+        record = scheme.stripe_record(stripe_id)
         if record is None or record.sealed:
             return False  # sealed since the walk: the journal is garbage
         for other in record.journal_holders:

@@ -142,6 +142,10 @@ class StripedScheme(ResilienceScheme):
     def stripe_records(self) -> List[StripeRecord]:
         return [self._stripes[sid] for sid in sorted(self._stripes)]
 
+    def stripe_record(self, stripe_id: int) -> Optional[StripeRecord]:
+        """The live stripe with this id (``None`` once dropped)."""
+        return self._stripes.get(stripe_id)
+
     def locate(self, key: str) -> Optional[ObjectLocation]:
         """The index entry for ``key`` (``None`` if absent/tombstoned)."""
         return self._index.get(key)
@@ -150,6 +154,9 @@ class StripedScheme(ResilienceScheme):
     def known_keys(self) -> List[str]:
         """Carrier keys (stripes + large objects) the planner migrates."""
         return self.inner.known_keys()
+
+    def knows_key(self, key: str) -> bool:
+        return self.inner.knows_key(key)
 
     def placement(self, ring, key: str) -> List[str]:
         return self.inner.placement(ring, key)

@@ -254,6 +254,71 @@ class TestStripeAwareness:
         assert drive(cluster, read()).data == data
 
 
+class TestVanishedTargets:
+    """Targets that go away mid-pass are skipped, never "repaired"."""
+
+    def test_journal_copies_of_a_stripe_sealed_mid_pass(self):
+        config = ClusterConfig().with_small_object_stripes(
+            seal_timeout=0.02
+        ).with_scrubbing(scan_period=0.2, seed=2)
+        cluster = fresh(config=config)
+        client = cluster.add_client()
+        data = patterned(90)
+
+        def body():
+            yield from client.set("tiny", Payload.from_bytes(data))
+
+        drive(cluster, body())
+        scrubber = cluster.scrubber
+        journal = [t for t in scrubber.targets() if t[0] == "journal"]
+        assert journal  # the walk is planned while the stripe is open
+        scrubber.start(horizon=cluster.sim.now + 0.2)
+        cluster.run()
+
+        metrics = cluster.metrics
+        assert [r for r in cluster.scheme.stripe_records() if r.sealed]
+        assert metrics.counter("scrub.corrupt_found").value == 0
+        # the spurious-repair count the benchmark reports
+        assert (
+            metrics.counter("scrub.repairs_triggered").value
+            - metrics.counter("scrub.corrupt_found").value
+        ) == 0
+        assert metrics.counter("scrub.targets_skipped").value >= 1
+
+        def read():
+            return (yield from client.get("tiny"))
+
+        assert drive(cluster, read()).data == data
+
+    def test_chunks_of_a_forgotten_key(self):
+        config = ClusterConfig().with_scrubbing(scan_period=0.2, seed=5)
+        cluster = fresh(config=config)
+        client = cluster.add_client()
+        store(cluster, client, count=3)
+        scheme = cluster.scheme
+        key = "key-1"
+        holders = scheme.chunk_servers(cluster.ring, key)
+        scrubber = cluster.scrubber
+        sim = cluster.sim
+
+        def drop_key():
+            # an authoritative delete lands after the walk was planned
+            yield sim.timeout(0.001)
+            scheme.forget_key(key)
+            for index, holder in enumerate(holders):
+                cluster.servers[holder].cache.delete(chunk_key(key, index))
+
+        scrubber.start(horizon=sim.now + 0.2)
+        sim.process(drop_key())
+        cluster.run()
+
+        metrics = cluster.metrics
+        assert metrics.counter("scrub.repairs_triggered").value == 0
+        assert metrics.counter("scrub.targets_skipped").value >= 1
+        for index, holder in enumerate(holders):
+            assert cluster.servers[holder].cache.peek(chunk_key(key, index)) is None
+
+
 class TestAuditing:
     def test_clean_cluster_certifies(self):
         config = ClusterConfig().with_scrubbing(
